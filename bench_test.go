@@ -301,10 +301,11 @@ func BenchmarkFederatedDayParallel(b *testing.B) {
 
 // BenchmarkRequestPath measures one invocation end to end through the
 // pooled whisk request path: ingress → route → publish → pull →
-// execute → result → egress on a single registered invoker, including
-// the idle poll ticks of the surrounding five virtual seconds. This is
-// the micro-benchmark behind the Fig. 5b/6b numbers; steady state must
-// stay allocation-free (the CI gate ratchets allocs/op).
+// execute → result → egress on a single registered invoker, which goes
+// dormant between invocations (pulls are event-driven, so the idle
+// seconds cost no events). This is the micro-benchmark behind the
+// Fig. 5b/6b numbers; steady state must stay allocation-free (the CI
+// gate ratchets allocs/op).
 func BenchmarkRequestPath(b *testing.B) {
 	b.ReportAllocs()
 	sim := des.New()

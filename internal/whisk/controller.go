@@ -173,6 +173,7 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 	c.egressFn = c.egressCb
 	c.drainFn = c.drainCb
 	c.fastLane = b.Topic(cfg.FastLaneName)
+	c.fastLane.OnDelivery(c.wakeFastLane)
 	return c
 }
 
@@ -299,6 +300,18 @@ func (c *Controller) recomputeAggregates() (healthy, draining, capacity, busy, b
 		backlog += inv.topic.Len() + inv.Buffered()
 	}
 	return healthy, draining, capacity, busy, backlog
+}
+
+// wakeFastLane is the fast lane's delivery hook (publish, MoveAll and
+// Requeue all fire it): every slotted healthy invoker may pull the
+// fast lane, so each arms its poll tick (a no-op for the ones already
+// armed). Invokers stay armed while the fast lane is non-empty.
+func (c *Controller) wakeFastLane() {
+	for _, w := range c.slots {
+		if w != nil {
+			w.armPoll()
+		}
+	}
 }
 
 // FastLaneDepth returns the backlog of the global priority topic —
@@ -506,7 +519,8 @@ func (c *Controller) egressCb(v any) {
 
 // Register adds an invoker to the dynamic slot list (lowest free slot,
 // as the HPC-Whisk controller maintains a dense dynamic invoker list)
-// and returns its slot id. The invoker starts polling immediately.
+// and returns its slot id. The invoker's first poll tick is one
+// PollInterval later; after that it polls while it has work.
 func (c *Controller) Register(inv *Invoker) int {
 	slot := -1
 	for i, s := range c.slots {

@@ -48,8 +48,11 @@ type InvokerConfig struct {
 	// past it evicts the least-recently-used idle container.
 	PoolLimit int
 
-	// PollInterval is the topic-pull period; the fast lane is always
-	// pulled before the invoker's own topic (§III-C).
+	// PollInterval is the topic-pull period while the invoker has
+	// something to pull; an idle invoker stops polling until a delivery
+	// wakes it (see Invoker.armPoll). Ticks stay on the attach-phase
+	// grid attach + k·PollInterval. The fast lane is always pulled
+	// before the invoker's own topic (§III-C).
 	PollInterval time.Duration
 
 	// PullBatch bounds messages taken per poll.
@@ -90,6 +93,10 @@ func DefaultInvokerConfig() InvokerConfig {
 // messages recycle to the bus pool, execution completion is a typed-arg
 // des event on a cached method value, and the start latencies draw
 // through cached samplers.
+//
+// Pulls are event-driven: the poll tick is armed only while the buffer,
+// the own topic or the controller's fast lane is non-empty, so an idle
+// invoker schedules no events at all (see armPoll).
 type Invoker struct {
 	cfg InvokerConfig
 	rng *rand.Rand
@@ -98,6 +105,8 @@ type Invoker struct {
 
 	execDoneFn func(any) // cached method value for execution completion
 	ckptDoneFn func(any) // cached method value for checkpoint-segment boundaries
+	pollTickFn func()    // cached method value for the poll tick
+	wakeFn     func()    // cached method value for own-topic deliveries
 
 	// ckptRng is the checkpoint subsystem's private stream, forked off
 	// rng lazily by checkpointRng the first time a checkpointed
@@ -122,7 +131,11 @@ type Invoker struct {
 	idleHeap   []*containerSet // min-heap over sets with idle > 0, keyed (lastUsed, name)
 	containers int             // total containers (idle + busy)
 
-	ticker *des.Ticker
+	// pollEv is the pending poll tick, if any; nextTick is the earliest
+	// attach-phase grid instant (attach + k·PollInterval) not yet
+	// polled.
+	pollEv   des.Event
+	nextTick des.Time
 
 	onDrained func()
 
@@ -162,6 +175,8 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 	w.warm = dist.NewSampler(cfg.WarmStartSeconds, w.rng)
 	w.execDoneFn = w.execDone
 	w.ckptDoneFn = w.ckptDone
+	w.pollTickFn = w.pollTick
+	w.wakeFn = w.wake
 	return w
 }
 
@@ -169,7 +184,9 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 // aggregates pick the invoker up here, and the topic watcher arms so
 // deliveries flow into the backlog aggregate (including any messages
 // already rotting on the topic from a previous occupant of the slot,
-// exactly as the slot scan re-counted them).
+// exactly as the slot scan re-counted them). The first poll tick is
+// armed unconditionally one PollInterval later; from then on the poll
+// is event-driven (armPoll).
 func (w *Invoker) attach(c *Controller, slot int) {
 	w.ctrl = c
 	w.slot = slot
@@ -178,8 +195,51 @@ func (w *Invoker) attach(c *Controller, slot int) {
 	c.noteStateChange(w, InvokerGone, InvokerHealthy)
 	w.topic = c.b.Topic(fmt.Sprintf("invoker%d", slot))
 	w.topic.Watch(&c.backlog)
-	w.topic.OnDelivery(w.poll)
-	w.ticker = c.sim.Every(w.cfg.PollInterval, w.poll)
+	w.topic.OnDelivery(w.wakeFn)
+	w.pollEv.Stop() // a re-registered invoker keeps a single poll chain
+	w.nextTick = c.sim.Now() + w.cfg.PollInterval
+	w.pollEv = c.sim.Schedule(w.nextTick, w.pollTickFn)
+}
+
+// hasWork reports whether a poll would find anything to do: the
+// negation of poll's idle early return.
+func (w *Invoker) hasWork() bool {
+	return len(w.buffer) > 0 || w.ctrl.fastLane.Len() > 0 || w.topic.Len() > 0
+}
+
+// armPoll schedules the next poll tick if the invoker is healthy, has
+// work, and no tick is pending. The tick lands on the attach-phase
+// grid, at the earliest grid instant ≥ now that has not been polled
+// yet — the instant a fixed-period ticker started at attach would poll
+// at, which keeps runs identical to polling every PollInterval — so a
+// wake exactly on the grid polls in that same instant. The poll is therefore armed exactly while the idle early
+// return in poll would fail; an invoker with nothing to pull is
+// dormant and costs no events.
+func (w *Invoker) armPoll() {
+	if w.state != InvokerHealthy || w.pollEv.Pending() || !w.hasWork() {
+		return
+	}
+	at := w.nextTick
+	if now := w.ctrl.sim.Now(); at < now {
+		p := w.cfg.PollInterval
+		at += (now - at + p - 1) / p * p
+	}
+	w.pollEv = w.ctrl.sim.Schedule(at, w.pollTickFn)
+}
+
+// pollTick is the poll event: it polls, then re-arms one PollInterval
+// later if work remains, or goes dormant.
+func (w *Invoker) pollTick() {
+	w.nextTick = w.ctrl.sim.Now() + w.cfg.PollInterval
+	w.wake()
+}
+
+// wake polls at once and re-arms the poll tick if anything is left
+// over. It is also the own-topic delivery hook, so a new message is
+// pulled the instant it lands.
+func (w *Invoker) wake() {
+	w.poll()
+	w.armPoll()
 }
 
 // Slot returns the controller slot id (-1 if unregistered).
@@ -203,11 +263,10 @@ func (w *Invoker) poll() {
 	if w.state != InvokerHealthy {
 		return
 	}
-	// Idle-tick fast path: nothing queued anywhere, nothing buffered —
-	// the common case for most of the ~10 polls/s each invoker performs
-	// all day. Pulling, the pressure check, and dispatch would all
-	// no-op.
-	if len(w.buffer) == 0 && w.ctrl.fastLane.Len() == 0 && w.topic.Len() == 0 {
+	// Idle fast path: nothing queued anywhere, nothing buffered.
+	// Pulling, the pressure check, and dispatch would all no-op. A poll
+	// tick that finds this goes dormant (armPoll).
+	if !w.hasWork() {
 		return
 	}
 	room := w.cfg.BufferLimit - len(w.buffer)
@@ -578,7 +637,7 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 	// counting them.
 	w.ctrl.noteStateChange(w, InvokerHealthy, InvokerDraining)
 	w.onDrained = onDrained
-	w.ticker.Stop()
+	w.pollEv.Stop()
 	w.ctrl.SetDraining(w)
 
 	// Flush the unexecuted buffer to the fast lane (which the backlog
@@ -709,9 +768,7 @@ func (w *Invoker) Kill() {
 	// drops len(running) executions out of the busy aggregate in one
 	// step.
 	w.ctrl.noteStateChange(w, w.state, InvokerGone)
-	if w.ticker != nil {
-		w.ticker.Stop()
-	}
+	w.pollEv.Stop()
 	for _, inv := range w.running {
 		if inv.execEv.Stop() {
 			w.ctrl.release(inv) // the canceled completion event

@@ -17,8 +17,10 @@ import (
 // without mid-execution interruption), hard kills, and random clock
 // advances, so every pooling-sensitive path — publish, timeout,
 // fast-lane requeue, reject-under-pressure, rot-after-kill — gets
-// exercised.
-func stormLog(t *testing.T, pooled bool, seed int64) []string {
+// exercised. A non-nil shadow watches every invoker's poll ticks (see
+// pollShadow), and the arming invariant is checked after every
+// operation.
+func stormLog(t *testing.T, pooled bool, seed int64, shadow *pollShadow) []string {
 	t.Helper()
 	sim := des.New()
 	b := bus.New(sim, nil, seed+1)
@@ -69,6 +71,9 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 		case 0: // register a fresh invoker
 			w := NewInvoker(icfg, rng.Int63())
 			c.Register(w)
+			if shadow != nil {
+				shadow.watch(sim, w)
+			}
 			invokers = append(invokers, w)
 		case 1: // graceful drain of a random healthy invoker
 			if up := alive(); len(up) > 0 {
@@ -83,6 +88,9 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 		default: // invoke (the storm is mostly traffic)
 			c.Invoke(actions[rng.Intn(len(actions))], nil)
 			sim.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
+		}
+		if shadow != nil {
+			checkPollArmed(t, c, op)
 		}
 	}
 	// Drain: past the action timeout so even rotting messages resolve.
@@ -110,8 +118,8 @@ func TestStormPooledMatchesUnpooledEventLog(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			plain := stormLog(t, false, seed)
-			pooled := stormLog(t, true, seed)
+			plain := stormLog(t, false, seed, nil)
+			pooled := stormLog(t, true, seed, nil)
 			if len(plain) == 0 {
 				t.Fatal("storm produced no completions")
 			}
