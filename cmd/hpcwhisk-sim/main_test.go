@@ -33,6 +33,32 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadAxes: out-of-range uniform axes and negative
+// duration options exit 2 with a one-line error before anything runs,
+// instead of panicking deep in the workload generator.
+func TestRunRejectsBadAxes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0"},
+		{"-nodes", "-3"},
+		{"-hours", "0"},
+		{"-qps", "-5"},
+		{"-qps", "NaN"},
+		{"-scenario", "checkpoint-frontier", "-set", "checkpoint-interval=-1s"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		msg := errb.String()
+		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "scenario: ") || strings.Contains(msg, "goroutine") {
+			t.Errorf("%v: stderr %q, want one scenario error line", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before rejecting", args, out.String())
+		}
+	}
+}
+
 // stripTiming drops the wall-clock line, the only non-deterministic
 // output.
 func stripTiming(b []byte) []byte {

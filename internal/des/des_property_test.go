@@ -11,8 +11,9 @@ import (
 
 // refSim is the pre-optimization kernel (container/heap binary heap,
 // one *refEvent allocation per scheduling, eager removal on Stop),
-// kept verbatim as the ordering oracle: the pooled 4-ary kernel must
-// fire the same events at the same instants in the same order.
+// kept as the ordering oracle (RunBefore and NextAt added on top): the pooled two-tier kernel
+// (timing wheel + 4-ary heap) must fire the same events at the same
+// instants in the same order.
 
 type refEvent struct {
 	sim   *refSim
@@ -67,6 +68,20 @@ type refSim struct {
 	seq    uint64
 }
 
+func (s *refSim) RunBefore(end Time) {
+	for len(s.events) > 0 && s.events[0].when < end {
+		s.Step()
+	}
+	s.now = end
+}
+
+func (s *refSim) NextAt() (Time, bool) {
+	if len(s.events) == 0 {
+		return 0, false
+	}
+	return s.events[0].when, true
+}
+
 func (s *refSim) Schedule(at Time, fn func()) *refEvent {
 	e := &refEvent{sim: s, when: at, seq: s.seq, fn: fn}
 	s.seq++
@@ -96,24 +111,29 @@ func (s *refSim) RunUntil(end Time) {
 // kernel abstracts the two implementations so one scripted op sequence
 // can drive both.
 type kernel struct {
-	now      func() Time
-	schedule func(at Time, fn func()) (stop func() bool)
-	step     func() bool
-	runUntil func(end Time)
-	drain    func()
+	now       func() Time
+	schedule  func(at Time, fn func()) (stop func() bool)
+	step      func() bool
+	runUntil  func(end Time)
+	runBefore func(end Time)
+	nextAt    func() (Time, bool)
+	drain     func()
 }
 
-func pooledKernel() kernel {
-	s := New()
+func pooledKernel() kernel { return simKernel(New()) }
+
+func simKernel(s *Sim) kernel {
 	return kernel{
 		now: s.Now,
 		schedule: func(at Time, fn func()) func() bool {
 			e := s.Schedule(at, fn)
 			return e.Stop
 		},
-		step:     s.Step,
-		runUntil: s.RunUntil,
-		drain:    s.Run,
+		step:      s.Step,
+		runUntil:  s.RunUntil,
+		runBefore: s.RunBefore,
+		nextAt:    s.NextAt,
+		drain:     s.Run,
 	}
 }
 
@@ -129,6 +149,8 @@ func referenceKernel() kernel {
 		runUntil: func(end Time) {
 			s.RunUntil(end)
 		},
+		runBefore: s.RunBefore,
+		nextAt:    s.NextAt,
 		drain: func() {
 			for s.Step() {
 			}
@@ -194,7 +216,7 @@ func runScript(k kernel, ops int, seed int64) string {
 	return string(log)
 }
 
-// TestPropertyPooledHeapMatchesReference requires the pooled 4-ary
+// TestPropertyPooledHeapMatchesReference requires the pooled two-tier
 // kernel and the container/heap oracle to produce byte-identical logs
 // over 100k random operations.
 func TestPropertyPooledHeapMatchesReference(t *testing.T) {
@@ -203,16 +225,7 @@ func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 		got := runScript(pooledKernel(), ops, seed)
 		want := runScript(referenceKernel(), ops, seed)
 		if got != want {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
-			}
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("seed %d: logs diverge at byte %d:\npooled    ...%q\nreference ...%q",
-				seed, i, clip(got, lo), clip(want, lo))
+			t.Fatalf("seed %d: %s", seed, firstDiff(got, want))
 		}
 	}
 }
@@ -282,7 +295,7 @@ func TestStopStoppedThenRecycledSlot(t *testing.T) {
 }
 
 // TestStopSameInstantSibling: an event stopping a same-instant sibling
-// during batched dispatch must prevent the sibling from firing.
+// within that instant's dispatch must prevent the sibling from firing.
 func TestStopSameInstantSibling(t *testing.T) {
 	s := New()
 	var b Event
@@ -327,14 +340,14 @@ func TestTickerStopInsideCallbackWithReuse(t *testing.T) {
 }
 
 // TestReentrantRunPreservesOrder: a callback that re-enters the event
-// loop mid-batch must see its same-instant siblings fire before any
+// loop mid-instant must see its same-instant siblings fire before any
 // later instant, at the right clock reading.
 func TestReentrantRunPreservesOrder(t *testing.T) {
 	s := New()
 	var order []string
 	s.Schedule(time.Second, func() {
 		order = append(order, "A")
-		s.Run() // re-enter while sibling B is mid-batch
+		s.Run() // re-enter while sibling B is still pending at this instant
 		order = append(order, "A-done")
 	})
 	s.Schedule(time.Second, func() {

@@ -287,14 +287,16 @@ func TestPropertyStopSubset(t *testing.T) {
 // BenchmarkScheduleAndRun measures steady-state queue throughput: one
 // long-lived Sim (the shape of every experiment — a 24-hour run keeps
 // one Sim for tens of millions of events) scheduling and draining 1000
-// events per iteration. Steady state is allocation-free: entries, the
-// node pool, and the batch buffer are all reused.
+// events per iteration. Steady state is allocation-free: the node pool,
+// the wheel's link arena and bucket slice, and the heap are all reused.
 func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	s := New()
 	fn := func() {}
-	for j := 0; j < 1000; j++ { // warm the pool so -benchtime=1x measures steady state
-		s.Schedule(Time(j), fn)
+	// Warm the pools with the measured shape (1000 events 1 ms apart) so
+	// -benchtime=1x measures steady state.
+	for j := 0; j < 1000; j++ {
+		s.Schedule(Time(j)*Time(time.Millisecond), fn)
 	}
 	s.Run()
 	b.ResetTimer()
@@ -401,8 +403,8 @@ func BenchmarkScheduleCallAndRun(b *testing.B) {
 	s := New()
 	fn := func(any) {}
 	arg := &struct{ n int }{}
-	for j := 0; j < 1000; j++ {
-		s.ScheduleCall(Time(j), fn, arg)
+	for j := 0; j < 1000; j++ { // warm the pools with the measured shape
+		s.ScheduleCall(Time(j)*Time(time.Millisecond), fn, arg)
 	}
 	s.Run()
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -253,7 +254,9 @@ type OptionDoc struct {
 	Help    string
 }
 
-// parseable reports whether value parses as the documented kind.
+// parseable reports whether value parses as the documented kind. A
+// duration must also not be negative: every duration option is a
+// length or a cadence, where 0 means off.
 func (d OptionDoc) parseable(value string) error {
 	var err error
 	switch d.Kind {
@@ -264,7 +267,10 @@ func (d OptionDoc) parseable(value string) error {
 	case KindBool:
 		_, err = strconv.ParseBool(value)
 	case KindDuration:
-		_, err = time.ParseDuration(value)
+		var v time.Duration
+		if v, err = time.ParseDuration(value); err == nil && v < 0 {
+			return fmt.Errorf("scenario: option %s=%q is negative; durations must be ≥ 0", d.Name, value)
+		}
 	case KindString:
 	default:
 		err = fmt.Errorf("unknown option kind %q", d.Kind)
@@ -277,8 +283,9 @@ func (d OptionDoc) parseable(value string) error {
 
 // newConfig applies the options and validates the result against the
 // scenario's schema: set axes must be ones the scenario declares it
-// reads, raw keys must be documented, raw values must parse as their
-// documented kind, and a set policy must exist in the policy registry.
+// reads and within range (checkAxes), raw keys must be documented, raw
+// values must parse as their documented kind, and a set policy must
+// exist in the policy registry.
 func newConfig(sp Spec, opts []Option) (Config, error) {
 	var c Config
 	for _, opt := range opts {
@@ -295,6 +302,9 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 					sp.Name, axis, sp.Axes)
 			}
 		}
+	}
+	if err := c.checkAxes(); err != nil {
+		return Config{}, err
 	}
 	if c.set["policy"] {
 		if _, err := policy.New(c.policy); err != nil {
@@ -321,6 +331,21 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// checkAxes rejects set uniform axes that no scenario can run: a
+// cluster without nodes, a horizon without time, or a load rate that
+// is negative or not a finite number (0 disables load and is valid).
+func (c Config) checkAxes() error {
+	switch {
+	case c.set["nodes"] && c.nodes <= 0:
+		return fmt.Errorf("scenario: nodes must be positive, got %d", c.nodes)
+	case c.set["horizon"] && c.horizon <= 0:
+		return fmt.Errorf("scenario: horizon must be positive, got %v", c.horizon)
+	case c.set["qps"] && (c.qps < 0 || math.IsNaN(c.qps) || math.IsInf(c.qps, 0)):
+		return fmt.Errorf("scenario: qps must be a finite rate ≥ 0, got %v", c.qps)
+	}
+	return nil
 }
 
 func optionNames(docs []OptionDoc) []string {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -81,6 +82,15 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 		{"unused qps axis", "fig2", []Option{WithQPS(5)}, "does not use the qps axis"},
 		{"unused nodes axis", "fig3", []Option{WithNodes(512)}, "does not use the nodes axis"},
 		{"unused policy axis", "table1", []Option{WithPolicy("fib")}, "does not use the policy axis"},
+		{"zero nodes", "fib-day", []Option{WithNodes(0)}, "nodes must be positive"},
+		{"negative nodes", "fib-day", []Option{WithNodes(-3)}, "nodes must be positive"},
+		{"zero horizon", "fib-day", []Option{WithHorizon(0)}, "horizon must be positive"},
+		{"negative horizon", "federated-day", []Option{WithHorizon(-time.Hour)}, "horizon must be positive"},
+		{"negative qps", "fib-day", []Option{WithQPS(-5)}, "qps must be a finite rate"},
+		{"NaN qps", "fib-day", []Option{WithQPS(math.NaN())}, "qps must be a finite rate"},
+		{"infinite qps", "federated-day", []Option{WithQPS(math.Inf(1))}, "qps must be a finite rate"},
+		{"negative duration option", "checkpoint-frontier", []Option{WithOption("checkpoint-interval", "-1s")}, "is negative"},
+		{"negative timeout option", "var-day", []Option{WithOption("action-timeout", "-2m")}, "is negative"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -96,6 +106,11 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 	}
 	if err := Validate("fig2", WithOption("jobs", "100"), WithSeed(3)); err != nil {
 		t.Errorf("valid options rejected: %v", err)
+	}
+	// Zero load and a zero (disabled) duration option stay valid.
+	if err := Validate("fib-day", WithQPS(0), WithNodes(1), WithHorizon(time.Minute),
+		WithOption("checkpoint-interval", "0")); err != nil {
+		t.Errorf("boundary-valid options rejected: %v", err)
 	}
 }
 

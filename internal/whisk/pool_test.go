@@ -276,3 +276,47 @@ func TestInterruptOfTimedOutExecution(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestPathHopsUseTimingWheel pins where the request path lands
+// in the two-tier DES queue: every hop of an invocation (ingress,
+// route→publish, the pull, execution, result, egress) is due within a
+// few milliseconds and goes to the timing wheel, while the 60 s
+// client-visible timeout is the one far-tier heap entry, stopped on
+// completion.
+func TestRequestPathHopsUseTimingWheel(t *testing.T) {
+	sim, c, _ := pooledRig(t)
+	for i := 0; i < 3; i++ {
+		c.Invoke("f", nil)
+		sim.RunFor(5 * time.Second)
+	}
+	before := sim.Stats()
+	delivered := false
+	inv := c.Invoke("f", func(*Invocation) { delivered = true })
+	if d := sim.Stats().WheelScheduled - before.WheelScheduled; d != 1 {
+		t.Fatalf("ingress hop: %d wheel schedulings, want 1", d)
+	}
+	for steps := 0; !delivered; steps++ {
+		heap := sim.Stats().HeapScheduled
+		if steps == 20 || !sim.Step() {
+			t.Fatalf("invocation not delivered after %d steps", steps)
+		}
+		if sim.Stats().HeapScheduled != heap && !inv.timeoutEv.Pending() {
+			t.Fatalf("step %d at %v: a heap entry other than the action timeout", steps, sim.Now())
+		}
+	}
+	d := sim.Stats()
+	if got := d.HeapScheduled - before.HeapScheduled; got != 1 {
+		t.Errorf("heap schedulings per invocation = %d, want 1 (the timeout)", got)
+	}
+	if got := d.Stopped - before.Stopped; got != 1 {
+		t.Errorf("stopped events per invocation = %d, want 1 (the timeout)", got)
+	}
+	// ingress, publish, pull, execution, result, egress
+	if got := d.WheelScheduled - before.WheelScheduled; got != 6 {
+		t.Errorf("wheel schedulings per invocation = %d, want 6", got)
+	}
+	if got := d.Scheduled - before.Scheduled; got != d.Fired-before.Fired+d.Stopped-before.Stopped || sim.Pending() != 0 {
+		t.Errorf("scheduled %d ≠ fired %d + stopped %d (pending %d)", got,
+			d.Fired-before.Fired, d.Stopped-before.Stopped, sim.Pending())
+	}
+}
