@@ -33,9 +33,10 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadAxes: out-of-range uniform axes and negative
-// duration options exit 2 with a one-line error before anything runs,
-// instead of panicking deep in the workload generator.
+// TestRunRejectsBadAxes: out-of-range uniform axes, negative duration
+// options, non-finite float options and shard counts below 1 exit 2
+// with a one-line error before anything runs, instead of panicking deep
+// in the workload generator or silently running another configuration.
 func TestRunRejectsBadAxes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nodes", "0"},
@@ -44,6 +45,12 @@ func TestRunRejectsBadAxes(t *testing.T) {
 		{"-qps", "-5"},
 		{"-qps", "NaN"},
 		{"-scenario", "checkpoint-frontier", "-set", "checkpoint-interval=-1s"},
+		{"-scenario", "fib-day", "-set", "shards=-1"},
+		{"-scenario", "endogenous", "-set", "utilization=NaN"},
+		{"-scenario", "endogenous", "-set", "utilization=+Inf"},
+		{"-scenario", "endogenous", "-set", "utilization=0"},
+		{"-scenario", "endogenous", "-set", "utilization=1e9"},
+		{"-scenario", "endogenous", "-set", "max-walltime=0s"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {

@@ -356,6 +356,12 @@ func init() {
 			ec.Utilization = cfg.Float("utilization", ec.Utilization)
 			ec.MaxWalltime = cfg.Duration("max-walltime", ec.MaxWalltime)
 			ec.MaxJobNodes = cfg.Int("max-job-nodes", ec.MaxJobNodes)
+			if !(ec.Utilization > 0 && ec.Utilization <= 1) {
+				return nil, fmt.Errorf("scenario: endogenous utilization must be in (0, 1], got %v", ec.Utilization)
+			}
+			if ec.MaxWalltime <= 0 {
+				return nil, fmt.Errorf("scenario: endogenous max-walltime must be positive, got %v", ec.MaxWalltime)
+			}
 			ec.Policy = cfg.Policy(ec.PolicyName())
 			if _, err := policy.New(ec.Policy); err != nil {
 				return nil, err

@@ -255,15 +255,19 @@ type OptionDoc struct {
 }
 
 // parseable reports whether value parses as the documented kind. A
-// duration must also not be negative: every duration option is a
-// length or a cadence, where 0 means off.
+// float must also be finite, since no option means anything at NaN or
+// ±Inf, and a duration must not be negative: every duration option is
+// a length or a cadence, where 0 means off.
 func (d OptionDoc) parseable(value string) error {
 	var err error
 	switch d.Kind {
 	case KindInt:
 		_, err = strconv.Atoi(value)
 	case KindFloat:
-		_, err = strconv.ParseFloat(value, 64)
+		var v float64
+		if v, err = strconv.ParseFloat(value, 64); err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			return fmt.Errorf("scenario: option %s=%q is not a finite number", d.Name, value)
+		}
 	case KindBool:
 		_, err = strconv.ParseBool(value)
 	case KindDuration:
@@ -328,6 +332,12 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 		}
 		if err := d.parseable(c.raw[name]); err != nil {
 			return Config{}, err
+		}
+	}
+	// A shard count below 1 would silently run sequentially.
+	if v, ok := c.raw["shards"]; ok {
+		if n, _ := strconv.Atoi(v); n < 1 {
+			return Config{}, fmt.Errorf("scenario: option shards=%q must be at least 1", v)
 		}
 	}
 	return c, nil

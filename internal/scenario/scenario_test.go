@@ -91,6 +91,10 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 		{"infinite qps", "federated-day", []Option{WithQPS(math.Inf(1))}, "qps must be a finite rate"},
 		{"negative duration option", "checkpoint-frontier", []Option{WithOption("checkpoint-interval", "-1s")}, "is negative"},
 		{"negative timeout option", "var-day", []Option{WithOption("action-timeout", "-2m")}, "is negative"},
+		{"NaN float option", "endogenous", []Option{WithOption("utilization", "NaN")}, "not a finite number"},
+		{"infinite float option", "endogenous", []Option{WithOption("utilization", "-Inf")}, "not a finite number"},
+		{"negative shards", "fib-day", []Option{WithOption("shards", "-1")}, "shards=\"-1\" must be at least 1"},
+		{"zero shards", "federated-day", []Option{WithOption("shards", "0")}, "must be at least 1"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -109,7 +113,7 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 	}
 	// Zero load and a zero (disabled) duration option stay valid.
 	if err := Validate("fib-day", WithQPS(0), WithNodes(1), WithHorizon(time.Minute),
-		WithOption("checkpoint-interval", "0")); err != nil {
+		WithOption("checkpoint-interval", "0"), WithOption("shards", "1")); err != nil {
 		t.Errorf("boundary-valid options rejected: %v", err)
 	}
 }

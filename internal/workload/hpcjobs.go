@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -127,7 +128,8 @@ func WriteJobsCSV(w io.Writer, jobs []Job) error {
 	return bw.Flush()
 }
 
-// ReadJobsCSV parses jobs written by WriteJobsCSV.
+// ReadJobsCSV parses jobs written by WriteJobsCSV, rounding times to
+// the millisecond the format carries.
 func ReadJobsCSV(r io.Reader) ([]Job, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -143,9 +145,13 @@ func ReadJobsCSV(r io.Reader) ([]Job, error) {
 			&j.ID, &submit, &j.Nodes, &declared, &runtime); err != nil {
 			return nil, fmt.Errorf("workload: bad job row %q: %w", line, err)
 		}
-		j.Submit = time.Duration(submit * float64(time.Second))
-		j.Declared = time.Duration(declared * float64(time.Second))
-		j.Runtime = time.Duration(runtime * float64(time.Second))
+		var e1, e2, e3 error
+		j.Submit, e1 = csvSeconds(submit)
+		j.Declared, e2 = csvSeconds(declared)
+		j.Runtime, e3 = csvSeconds(runtime)
+		if err := errors.Join(e1, e2, e3); err != nil {
+			return nil, fmt.Errorf("workload: bad job row %q: %w", line, err)
+		}
 		jobs = append(jobs, j)
 	}
 	return jobs, sc.Err()

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -166,7 +167,23 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a trace written by WriteCSV. Parsing is strict —
+// maxTraceNodes bounds the header's node count: validating a trace
+// allocates per node, so a typo must not ask for terabytes.
+const maxTraceNodes = 1 << 20
+
+// csvSeconds converts a seconds field of the CSV formats to a duration
+// on their 1 ms grid, so that what ReadCSV or ReadJobsCSV returns is
+// written back unchanged. NaN, infinities and magnitudes a Duration
+// cannot hold are rejected.
+func csvSeconds(secs float64) (time.Duration, error) {
+	if !(math.Abs(secs) <= float64(math.MaxInt64/int64(time.Second))) {
+		return 0, fmt.Errorf("%v s is not a representable duration", secs)
+	}
+	return time.Duration(math.Round(secs*1e3)) * time.Millisecond, nil
+}
+
+// ReadCSV parses a trace written by WriteCSV, rounding times to the
+// millisecond the format carries. Parsing is strict —
 // wrong field counts, non-numeric fields, trailing garbage, rows
 // naming nodes outside the header's cluster size, and semantically
 // invalid traces (empty or reversed periods, periods past the
@@ -196,15 +213,19 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("workload: bad trace header %q: want 2 fields, got %d", line, len(fields))
 			}
 			nodes, err := strconv.Atoi(fields[0])
-			if err != nil || nodes <= 0 {
+			if err != nil || nodes <= 0 || nodes > maxTraceNodes {
 				return nil, fmt.Errorf("workload: bad trace header %q: node count %q", line, fields[0])
 			}
-			horizon, err := strconv.ParseFloat(fields[1], 64)
+			var horizon time.Duration
+			secs, err := strconv.ParseFloat(fields[1], 64)
+			if err == nil {
+				horizon, err = csvSeconds(secs)
+			}
 			if err != nil || horizon <= 0 {
 				return nil, fmt.Errorf("workload: bad trace header %q: horizon %q", line, fields[1])
 			}
 			t.Nodes = nodes
-			t.Horizon = time.Duration(horizon * float64(time.Second))
+			t.Horizon = horizon
 			continue
 		}
 		fields := strings.Split(line, ",")
@@ -218,19 +239,17 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if node < 0 || node >= t.Nodes {
 			return nil, fmt.Errorf("workload: bad trace row %d %q: node %d outside cluster of %d", lineNo, line, node, t.Nodes)
 		}
-		secs := make([]float64, 3)
+		var at [3]time.Duration
 		for i, f := range fields[1:] {
-			secs[i], err = strconv.ParseFloat(f, 64)
+			secs, err := strconv.ParseFloat(f, 64)
+			if err == nil {
+				at[i], err = csvSeconds(secs)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("workload: bad trace row %d %q: field %q: %v", lineNo, line, f, err)
 			}
 		}
-		t.Periods = append(t.Periods, IdlePeriod{
-			Node:        node,
-			Start:       time.Duration(secs[0] * float64(time.Second)),
-			End:         time.Duration(secs[1] * float64(time.Second)),
-			DeclaredEnd: time.Duration(secs[2] * float64(time.Second)),
-		})
+		t.Periods = append(t.Periods, IdlePeriod{Node: node, Start: at[0], End: at[1], DeclaredEnd: at[2]})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -74,6 +74,11 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		{"header-nodes", "#four,86400\n", "node count"},
 		{"header-zero-nodes", "#0,86400\n", "node count"},
 		{"header-horizon", "#4,soon\n", "horizon"},
+		{"header-nan-horizon", "#4,NaN\n", "horizon"},
+		{"header-sub-ms-horizon", "#4,0.0004\n", "horizon"},
+		{"header-too-many-nodes", "#2000000,86400\n", "node count"},
+		{"row-infinite", header + "0,1.0,+Inf,2.0\n", "not a representable duration"},
+		{"row-overflow", header + "0,1.0,2.0,1e10\n", "not a representable duration"},
 		{"row-fields", header + "0,1.0,2.0\n", "want node,start_s"},
 		{"row-extra-field", header + "0,1.0,2.0,2.0,9\n", "want node,start_s"},
 		{"row-node", header + "zero,1.0,2.0,2.0\n", "node \"zero\""},
